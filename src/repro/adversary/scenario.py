@@ -206,8 +206,12 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             address = f"192.168.1.{index + 2}"
             nonce = gate_rng.random_bytes(8)
             cookie = responder.first_contact(address, nonce)
-            assert cookie is not None
-            assert responder.second_contact(address, nonce, cookie)
+            if cookie is None:
+                raise RuntimeError(
+                    f"cookie gate issued no cookie to {session_id}")
+            if not responder.second_contact(address, nonce, cookie):
+                raise RuntimeError(
+                    f"cookie gate rejected {session_id}'s own cookie")
 
         population = AdversaryPopulation([])
         if attacker_fraction > 0.0:

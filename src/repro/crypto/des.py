@@ -18,6 +18,7 @@ NIST-style round-trip properties in the test suite.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional
 
 from . import fastpath
@@ -153,9 +154,6 @@ def expand_key(key: bytes) -> List[int]:
     """
     if len(key) != KEY_SIZE:
         raise InvalidKeyLength("DES", len(key), "8")
-    if fastpath.enabled():
-        # Bit-identical table-driven schedule (PC1/PC2 as byte lookups).
-        return fastpath.des_expand_key(key)
     key56 = permute_bits(bytes_to_int(key), _PC1, 64)
     c = (key56 >> 28) & 0x0FFFFFFF
     d = key56 & 0x0FFFFFFF
@@ -216,18 +214,38 @@ class DES:
     key_size = KEY_SIZE
 
     def __init__(self, key: bytes, recorder: Optional[TraceRecorder] = None) -> None:
-        self._round_keys = expand_key(key)
-        # Cache the reversed schedule too, so decryption never rebuilds it.
-        self._round_keys_dec = list(reversed(self._round_keys))
+        if len(key) != KEY_SIZE:
+            raise InvalidKeyLength("DES", len(key), "8")
+        self._key = key
         self.recorder = recorder
+        # Fused-kernel schedules (one-stage tuples), each expanded on
+        # first use in its direction and cached; decryption reverses the
+        # encryption schedule, reusing it if already built.
+        self._fast_enc: Optional[tuple] = None
+        self._fast_dec: Optional[tuple] = None
+
+    # The reference loops' 48-bit round keys, also expanded on first use.
+
+    @cached_property
+    def _round_keys(self) -> List[int]:
+        return expand_key(self._key)
+
+    @cached_property
+    def _round_keys_dec(self) -> List[int]:
+        return list(reversed(self._round_keys))
+
+    def _encrypt_stages(self) -> tuple:
+        return (fastpath.des_expand_key(self._key),)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 8-byte block."""
         if len(block) != BLOCK_SIZE:
             raise InvalidBlockSize("DES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
+            if self._fast_enc is None:
+                self._fast_enc = self._encrypt_stages()
             return int_to_bytes(
-                fastpath.des_crypt_block(bytes_to_int(block), self._round_keys), 8
+                fastpath.des_kernel(bytes_to_int(block), self._fast_enc), 8
             )
         return int_to_bytes(
             _crypt_block(bytes_to_int(block), self._round_keys, self.recorder), 8
@@ -238,8 +256,11 @@ class DES:
         if len(block) != BLOCK_SIZE:
             raise InvalidBlockSize("DES", len(block), BLOCK_SIZE)
         if self.recorder is None and fastpath.enabled():
+            if self._fast_dec is None:
+                self._fast_dec = fastpath.des_decrypt_stages(
+                    self._fast_enc or self._encrypt_stages())
             return int_to_bytes(
-                fastpath.des_crypt_block(bytes_to_int(block), self._round_keys_dec), 8
+                fastpath.des_kernel(bytes_to_int(block), self._fast_dec), 8
             )
         return int_to_bytes(
             _crypt_block(bytes_to_int(block), self._round_keys_dec, self.recorder), 8

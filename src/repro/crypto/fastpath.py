@@ -19,11 +19,35 @@ Three families of kernel live here:
   decryption).  Every table is derived programmatically from
   :data:`repro.crypto.aes.SBOX` and GF(2^8) arithmetic, so nothing is
   transcribed.
-* **DES table fusion** — every FIPS 46-3 bit permutation (IP, FP, E,
-  PC1, PC2) becomes a handful of per-byte lookups via
-  :func:`byte_permutation_tables`, and the round function's
-  E-expansion → S-box → P-permutation chain collapses into eight
-  64-entry *SP* tables whose entries are already P-permuted.
+* **One fused DES kernel** — :func:`des_kernel` runs single DES (one
+  16-round stage) and 3DES-EDE (three stages, 48 rounds) alike:
+
+  - *IP and FP once per block*, each as Outerbridge's network of five
+    masked swaps between the halves rather than a table.  FP∘IP is
+    the identity, so between EDE stages only the Feistel half swap
+    remains.
+  - *Packed subkeys.*  Each round key is stored as two words, one
+    holding S-box chunks 1, 3, 5, 7 and the other 2, 4, 6, 8, each
+    chunk in the low six bits of a byte.  With both halves kept
+    rotated left by one bit (Outerbridge's layout), E(R)'s chunks
+    already sit at those byte positions in R and in R rotated right by
+    4, so the E-expansion becomes one rotate and two XORs.
+  - *Paired SP tables.*  Four tables, each covering two S-boxes and
+    indexed by ``(w >> 16) & 0x3F3F`` or ``w & 0x3F3F``, fuse the
+    S-box lookups with the P permutation: four lookups per round
+    instead of eight.  Their entries are pre-rotated, so the halves
+    stay in the rotated domain until FP.  They hold about 1 MB and are
+    built on first use, not at import.
+  - *Two rounds per loop step*, unpacking ``(ka, kb, kc, kd)`` with no
+    tuple swap.
+
+  :func:`des_expand_key` emits that packed form straight from PC2
+  tables whose entries are already split, at the cost of the plain
+  48-bit schedule.  There is deliberately no cache of expanded keys
+  across cipher objects: most keys are expanded once, and a cache
+  would keep the schedules of closed sessions in memory.  Every table
+  is derived from the FIPS 46-3 constants; the tests pin the swap
+  networks to the FIPS IP and FP tables.
 * **hash delegation** — SHA-1/MD5 whole-message hashing is handed to
   the platform's optimised primitive (:mod:`hashlib`, the software
   stand-in for the paper's crypto accelerator) when available; the
@@ -249,46 +273,76 @@ def aes_decrypt_block(block: bytes, inv_words: Sequence[int], rounds: int) -> by
 
 
 # ---------------------------------------------------------------------------
-# DES: per-byte permutation tables + fused SP round tables
+# DES: one fused kernel for DES and 3DES-EDE
 # ---------------------------------------------------------------------------
 
 
-def byte_permutation_tables(table: Sequence[int], in_width: int) -> List[List[int]]:
-    """Per-input-byte lookup tables equivalent to
+def byte_permutation_tables(table: Sequence[int], in_width: int,
+                            chunk_bits: int = 8) -> List[List[int]]:
+    """Per-input-chunk lookup tables equivalent to
     :func:`repro.crypto.bitops.permute_bits`.
 
     Each FIPS-style permutation routes every *output* bit from a fixed
     *input* bit, so the permutation of an ``in_width``-bit word is the
-    OR of one precomputed lookup per input byte:
-    ``out = t[0][byte0] | t[1][byte1] | ...`` — Section 4.2.1's
-    "expensive on word-oriented CPUs" loop replaced by ``in_width/8``
-    indexed loads.
+    OR of one precomputed lookup per ``chunk_bits``-bit input chunk:
+    ``out = t[0][chunk0] | t[1][chunk1] | ...`` — Section 4.2.1's
+    "expensive on word-oriented CPUs" loop replaced by
+    ``in_width/chunk_bits`` indexed loads.
     """
-    if in_width % 8:
-        raise ValueError(f"in_width {in_width} not a whole number of bytes")
+    if in_width % chunk_bits:
+        raise ValueError(
+            f"in_width {in_width} not a whole number of {chunk_bits}-bit chunks")
     out_width = len(table)
-    tables = [[0] * 256 for _ in range(in_width // 8)]
+    tables = [[0] * (1 << chunk_bits) for _ in range(in_width // chunk_bits)]
     for out_pos, in_pos in enumerate(table):
-        in_index = in_pos - 1  # FIPS tables are 1-indexed from the MSB
-        byte_index, offset = divmod(in_index, 8)
-        bit_in_byte = 7 - offset
+        # FIPS tables are 1-indexed from the MSB.
+        chunk_index, offset = divmod(in_pos - 1, chunk_bits)
+        bit_in_chunk = chunk_bits - 1 - offset
         out_bit = 1 << (out_width - 1 - out_pos)
-        chunk = tables[byte_index]
-        for value in range(256):
-            if (value >> bit_in_byte) & 1:
+        chunk = tables[chunk_index]
+        for value in range(1 << chunk_bits):
+            if (value >> bit_in_chunk) & 1:
                 chunk[value] |= out_bit
     return tables
+
+
+def _pack_round_key(k48: int) -> int:
+    """Split a 48-bit round key into the kernel's two words, returned
+    as ``(ka << 32) | kb``: ``ka`` holds S-box chunks 1, 3, 5, 7 and
+    ``kb`` chunks 2, 4, 6, 8, one 6-bit chunk in the low bits of each
+    byte, lined up with where the round finds E(R)'s chunks."""
+    c = [(k48 >> (42 - 6 * box)) & 63 for box in range(8)]
+    ka = (c[0] << 24) | (c[2] << 16) | (c[4] << 8) | c[6]
+    kb = (c[1] << 24) | (c[3] << 16) | (c[5] << 8) | c[7]
+    return (ka << 32) | kb
+
+
+def _paired_sp(sp: Sequence[Sequence[int]], hi: int, lo: int) -> List[int]:
+    """One lookup for two S-boxes: entry ``(x << 8) | y`` is
+    ``sp[hi][x] ^ sp[lo][y]``; indices with bits 6-7 of a byte set are
+    never read."""
+    table = [0] * 0x3F40
+    for x in range(64):
+        high = sp[hi][x]
+        for y in range(64):
+            table[(x << 8) | y] = high ^ sp[lo][y]
+    return table
 
 
 _DES_TABLES: Optional[dict] = None
 
 
 def _des_tables() -> dict:
+    """The DES lookup tables, built on first use (about 1 MB, almost
+    all of it the four paired SP tables)."""
     global _DES_TABLES
     if _DES_TABLES is None:
         from . import des as _des
-        from .bitops import permute_bits
+        from .bitops import permute_bits, rotl32
 
+        # The kernel keeps both halves rotated left by one bit from IP
+        # to FP (Outerbridge's layout), so every SP output is rotated
+        # to match.
         sp = []
         for box in range(8):
             entries = []
@@ -296,87 +350,167 @@ def _des_tables() -> dict:
                 row = ((six >> 4) & 0b10) | (six & 1)
                 col = (six >> 1) & 0xF
                 # Fuse S-box output placement with the P permutation.
-                entries.append(
-                    permute_bits(
-                        _des._SBOXES[box][row][col] << (28 - 4 * box), _des._P, 32
-                    )
-                )
+                entries.append(rotl32(permute_bits(
+                    _des._SBOXES[box][row][col] << (28 - 4 * box), _des._P, 32), 1))
             sp.append(entries)
+        # Per round, the shifts that read the four 7-bit chunks of a
+        # rotated 28-bit half from that half written twice over:
+        # rotating left by ``total`` is reading from bit ``28 - total``
+        # up.  Two rounds per entry, one entry per schedule tuple.
+        shifts, total = [], 0
+        for shift in _des._SHIFTS:
+            total += shift
+            shifts.append((49 - total, 42 - total, 35 - total, 28 - total))
         _DES_TABLES = {
-            "ip": byte_permutation_tables(_des._IP, 64),
-            "fp": byte_permutation_tables(_des._FP, 64),
-            "e": byte_permutation_tables(_des._E, 32),
+            # Boxes 1+3 and 5+7 read the rotated-right-by-4 half, boxes
+            # 2+4 and 6+8 the half as is.
+            "sp": (_paired_sp(sp, 0, 2), _paired_sp(sp, 4, 6),
+                   _paired_sp(sp, 1, 3), _paired_sp(sp, 5, 7)),
             "pc1": byte_permutation_tables(_des._PC1, 64),
-            "pc2": byte_permutation_tables(_des._PC2, 56),
-            "sp": sp,
+            "pc2": [[_pack_round_key(v) for v in chunk]
+                    for chunk in byte_permutation_tables(_des._PC2, 56, 7)],
+            "pc2_shifts": [a + b for a, b in zip(shifts[0::2], shifts[1::2])],
         }
     return _DES_TABLES
 
 
-def des_crypt_block(block64: int, round_keys: Sequence[int]) -> int:
-    """Table-driven DES: IP → 16 fused rounds → FP, all on ints."""
-    t = _des_tables()
-    ip = t["ip"]
-    state = (
-        ip[0][(block64 >> 56) & 255] | ip[1][(block64 >> 48) & 255]
-        | ip[2][(block64 >> 40) & 255] | ip[3][(block64 >> 32) & 255]
-        | ip[4][(block64 >> 24) & 255] | ip[5][(block64 >> 16) & 255]
-        | ip[6][(block64 >> 8) & 255] | ip[7][block64 & 255]
-    )
-    left = (state >> 32) & MASK32
-    right = state & MASK32
-    e0, e1, e2, e3 = t["e"]
-    sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = t["sp"]
-    for rk in round_keys:
-        x = (e0[right >> 24] | e1[(right >> 16) & 255]
-             | e2[(right >> 8) & 255] | e3[right & 255]) ^ rk
-        f = (sp0[(x >> 42) & 63] ^ sp1[(x >> 36) & 63]
-             ^ sp2[(x >> 30) & 63] ^ sp3[(x >> 24) & 63]
-             ^ sp4[(x >> 18) & 63] ^ sp5[(x >> 12) & 63]
-             ^ sp6[(x >> 6) & 63] ^ sp7[x & 63])
-        left, right = right, left ^ f
-    pre = (right << 32) | left  # final swap undone, per FIPS 46-3
-    fp = t["fp"]
-    return (
-        fp[0][(pre >> 56) & 255] | fp[1][(pre >> 48) & 255]
-        | fp[2][(pre >> 40) & 255] | fp[3][(pre >> 32) & 255]
-        | fp[4][(pre >> 24) & 255] | fp[5][(pre >> 16) & 255]
-        | fp[6][(pre >> 8) & 255] | fp[7][pre & 255]
-    )
+def des_expand_key(key: bytes) -> List[Tuple[int, int, int, int]]:
+    """Table-driven FIPS 46-3 key schedule in the kernel's packed form.
 
-
-def des_expand_key(key: bytes) -> List[int]:
-    """Table-driven FIPS 46-3 key schedule (PC1/PC2 as byte lookups).
-
-    Bit-for-bit equivalent to :func:`repro.crypto.des.expand_key`;
-    callers validate the key length.
+    Returns eight ``(ka, kb, kc, kd)`` tuples, two rounds each.  PC1 is
+    eight byte lookups; each round's PC2 is eight 7-bit-chunk lookups on
+    the rotated C and D halves, into tables whose entries are already
+    split into the two words, so packing costs nothing per key.
+    Callers validate the key length.
     """
-    from . import des as _des
-
     t = _des_tables()
     pc1 = t["pc1"]
     key64 = int.from_bytes(key, "big")
     key56 = (
-        pc1[0][(key64 >> 56) & 255] | pc1[1][(key64 >> 48) & 255]
+        pc1[0][key64 >> 56] | pc1[1][(key64 >> 48) & 255]
         | pc1[2][(key64 >> 40) & 255] | pc1[3][(key64 >> 32) & 255]
         | pc1[4][(key64 >> 24) & 255] | pc1[5][(key64 >> 16) & 255]
         | pc1[6][(key64 >> 8) & 255] | pc1[7][key64 & 255]
     )
-    c = (key56 >> 28) & 0x0FFFFFFF
+    c = key56 >> 28
     d = key56 & 0x0FFFFFFF
-    pc2 = t["pc2"]
-    round_keys = []
-    for shift in _des._SHIFTS:
-        c = ((c << shift) | (c >> (28 - shift))) & 0x0FFFFFFF
-        d = ((d << shift) | (d >> (28 - shift))) & 0x0FFFFFFF
-        cd = (c << 28) | d
-        round_keys.append(
-            pc2[0][(cd >> 48) & 255] | pc2[1][(cd >> 40) & 255]
-            | pc2[2][(cd >> 32) & 255] | pc2[3][(cd >> 24) & 255]
-            | pc2[4][(cd >> 16) & 255] | pc2[5][(cd >> 8) & 255]
-            | pc2[6][cd & 255]
-        )
-    return round_keys
+    c |= c << 28
+    d |= d << 28
+    t0, t1, t2, t3, t4, t5, t6, t7 = t["pc2"]
+    return [
+        ((k := t0[(c >> s0) & 127] | t1[(c >> s1) & 127]
+          | t2[(c >> s2) & 127] | t3[(c >> s3) & 127]
+          | t4[(d >> s0) & 127] | t5[(d >> s1) & 127]
+          | t6[(d >> s2) & 127] | t7[(d >> s3) & 127]) >> 32,
+         k & MASK32,
+         (k := t0[(c >> u0) & 127] | t1[(c >> u1) & 127]
+          | t2[(c >> u2) & 127] | t3[(c >> u3) & 127]
+          | t4[(d >> u0) & 127] | t5[(d >> u1) & 127]
+          | t6[(d >> u2) & 127] | t7[(d >> u3) & 127]) >> 32,
+         k & MASK32)
+        for s0, s1, s2, s3, u0, u1, u2, u3 in t["pc2_shifts"]
+    ]
+
+
+def des_reverse_schedule(schedule: Sequence[Tuple[int, int, int, int]]
+                         ) -> List[Tuple[int, int, int, int]]:
+    """The decryption schedule: the same round keys, last round first."""
+    return [(kc, kd, ka, kb) for ka, kb, kc, kd in reversed(schedule)]
+
+
+def des_decrypt_stages(stages: Sequence[Sequence[Tuple[int, int, int, int]]]
+                       ) -> tuple:
+    """Kernel stages that invert ``stages``: last stage first, each
+    schedule reversed (3DES E1·D2·E3 becomes D3·E2·D1)."""
+    return tuple(des_reverse_schedule(s) for s in reversed(stages))
+
+
+def _ip_rotated(block64: int) -> Tuple[int, int]:
+    """IP as Outerbridge's swap network, returning both halves rotated
+    left by one bit.  Each step swaps the bits under a mask between the
+    halves, shifted; no table, so nothing for the kernel to fetch from
+    memory."""
+    left = block64 >> 32
+    right = block64 & MASK32
+    work = ((left >> 4) ^ right) & 0x0F0F0F0F
+    right ^= work
+    left ^= work << 4
+    work = ((left >> 16) ^ right) & 0x0000FFFF
+    right ^= work
+    left ^= work << 16
+    work = ((right >> 2) ^ left) & 0x33333333
+    left ^= work
+    right ^= work << 2
+    work = ((right >> 8) ^ left) & 0x00FF00FF
+    left ^= work
+    right ^= work << 8
+    right = ((right << 1) | (right >> 31)) & MASK32
+    work = (left ^ right) & 0xAAAAAAAA
+    left ^= work
+    right ^= work
+    left = ((left << 1) | (left >> 31)) & MASK32
+    return left, right
+
+
+def _fp_rotated(left: int, right: int) -> int:
+    """FP of the pre-output ``left || right`` given in the rotated
+    domain: :func:`_ip_rotated`'s steps undone in reverse order."""
+    left = ((left << 31) | (left >> 1)) & MASK32
+    work = (right ^ left) & 0xAAAAAAAA
+    right ^= work
+    left ^= work
+    right = ((right << 31) | (right >> 1)) & MASK32
+    work = ((right >> 8) ^ left) & 0x00FF00FF
+    left ^= work
+    right ^= work << 8
+    work = ((right >> 2) ^ left) & 0x33333333
+    left ^= work
+    right ^= work << 2
+    work = ((left >> 16) ^ right) & 0x0000FFFF
+    right ^= work
+    left ^= work << 16
+    work = ((left >> 4) ^ right) & 0x0F0F0F0F
+    right ^= work
+    left ^= work << 4
+    return (left << 32) | right
+
+
+def des_kernel(block64: int,
+               stages: Sequence[Sequence[Tuple[int, int, int, int]]]) -> int:
+    """DES over one or more key schedules: IP, every stage's rounds, FP.
+
+    One stage is single DES; three (E, D, E) are 3DES-EDE.  FP∘IP is
+    the identity, so between stages only the Feistel half swap remains.
+    Each round is one rotate, two key XORs and four paired-SP lookups.
+    """
+    left, right = _ip_rotated(block64)
+    sp13, sp57, sp24, sp68 = _des_tables()["sp"]
+    for stage in stages:
+        for ka, kb, kc, kd in stage:
+            # ``w`` is the half rotated right by 4, but only its bits 0-29
+            # are ever read: leaving bits 30-31 out keeps it one CPython
+            # digit wide.
+            w = ((right & 3) << 28 | right >> 4) ^ ka
+            v = right ^ kb
+            left ^= (sp13[(w >> 16) & 0x3F3F] ^ sp57[w & 0x3F3F]
+                     ^ sp24[(v >> 16) & 0x3F3F] ^ sp68[v & 0x3F3F])
+            w = ((left & 3) << 28 | left >> 4) ^ kc
+            v = left ^ kd
+            right ^= (sp13[(w >> 16) & 0x3F3F] ^ sp57[w & 0x3F3F]
+                      ^ sp24[(v >> 16) & 0x3F3F] ^ sp68[v & 0x3F3F])
+        left, right = right, left
+    # After the last stage's swap the halves read R16 L16, FIPS's
+    # pre-output.
+    return _fp_rotated(left, right)
+
+
+def des_crypt_block(block64: int, round_keys: Sequence[int]) -> int:
+    """Single DES on ints with 48-bit round keys in the order to apply
+    them (reversed to decrypt), run through :func:`des_kernel`."""
+    packed = [_pack_round_key(k) for k in round_keys]
+    schedule = [(a >> 32, a & MASK32, b >> 32, b & MASK32)
+                for a, b in zip(packed[0::2], packed[1::2])]
+    return des_kernel(block64, (schedule,))
 
 
 # ---------------------------------------------------------------------------

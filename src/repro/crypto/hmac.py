@@ -8,14 +8,23 @@ constant-time comparison — the §3.4 timing-attack countermeasure.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Type, Union
 
 from .bitops import constant_time_compare
 from .errors import IntegrityError
 from .md5 import MD5
 from .sha1 import SHA1
 
-HashFactory = Callable[[], Union[SHA1, MD5]]
+HashFactory = Union[Type[SHA1], Type[MD5]]
+
+
+#: RFC 2104's ipad and opad blocks as big-endian integers, per hash
+#: block size.
+_PADS = {
+    size: (int.from_bytes(b"\x36" * size, "big"),
+           int.from_bytes(b"\x5c" * size, "big"))
+    for size in {SHA1.block_size, MD5.block_size}
+}
 
 
 class HMAC:
@@ -27,23 +36,26 @@ class HMAC:
         MAC key of any length (hashed down if longer than the hash
         block, zero-padded if shorter, per RFC 2104).
     hash_factory:
-        Zero-argument callable producing a fresh hash object —
-        :class:`~repro.crypto.sha1.SHA1` or
-        :class:`~repro.crypto.md5.MD5`.
+        The hash class — :class:`~repro.crypto.sha1.SHA1` or
+        :class:`~repro.crypto.md5.MD5`: called with optional initial
+        data for a fresh hash object, and read for its ``block_size``
+        and ``digest_size`` class attributes.
     """
 
     def __init__(self, key: bytes, hash_factory: HashFactory = SHA1) -> None:
         self._factory = hash_factory
-        probe = hash_factory()
-        block_size = probe.block_size
-        self.digest_size = probe.digest_size
+        block_size = hash_factory.block_size
+        self.digest_size = hash_factory.digest_size
         if len(key) > block_size:
-            key = hash_factory().update(key).digest()
-        key = key + b"\x00" * (block_size - len(key))
-        # Key-schedule caching: absorb the ipad/opad blocks once here, so
-        # every digest (and every copy) skips both key-block compressions.
-        self._inner = hash_factory().update(bytes(b ^ 0x36 for b in key))
-        self._outer = hash_factory().update(bytes(b ^ 0x5C for b in key))
+            key = hash_factory(key).digest()
+        # The key zero-padded to one block, XORed with each pad as one
+        # big integer.  Key-schedule caching: absorb the ipad/opad blocks
+        # once here, so every digest (and every copy) skips both
+        # key-block compressions.
+        padded = int.from_bytes(key, "big") << (8 * (block_size - len(key)))
+        ipad, opad = _PADS[block_size]
+        self._inner = hash_factory((padded ^ ipad).to_bytes(block_size, "big"))
+        self._outer = hash_factory((padded ^ opad).to_bytes(block_size, "big"))
 
     def update(self, data: bytes) -> "HMAC":
         """Absorb message bytes; returns self for chaining."""
