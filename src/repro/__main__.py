@@ -41,7 +41,147 @@ Gives the reproduction a front door:
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Tuple, Union
+
+from .adversary import run_survivability
+from .analysis import failover, fleetwatch, mcommerce, survivability
+from .analysis.report import format_report
+from .conformance import runner as conformance
+from .fleet import run_failover
+from .observability.export import (
+    fleet_flamegraph_folds,
+    fleet_jsonl,
+    prometheus_text,
+)
+from .observability.fleetwatch import run_fleetwatch
+from .workloads import run_mcommerce
+
+#: A plane flag's ``run`` keyword, or ``(keyword, help text)``.
+FlagSpec = Union[str, Tuple[str, str]]
+
+
+@dataclass(frozen=True)
+class Plane:
+    """One byte-stable plane: how the CLI runs, renders and gates it.
+
+    ``flags`` maps each CLI flag to the ``run`` keyword it sets; the
+    flag's type and default are read from ``run``'s signature.
+    ``exports`` maps extra ``PATH`` flags to ``(render, help text)``.
+    """
+
+    name: str
+    help: str
+    run: Callable[..., object]
+    flags: Dict[str, FlagSpec]
+    render: Callable[[object], str]
+    ok: Callable[[object], bool]
+    exports: Dict[str, Tuple[Callable[[object], str], str]] = field(
+        default_factory=dict)
+
+
+def _json(build_report: Callable[[object], dict]) -> Callable[[object], str]:
+    """``render`` for a plane whose report is canonical JSON."""
+    return lambda result: format_report(build_report(result))
+
+
+def _reconciled(result) -> bool:
+    return result.reconciliation.ok
+
+
+_FLEET_FLAGS: Dict[str, FlagSpec] = {
+    "sessions": "sessions",
+    "shards": "shards",
+    "requests": "requests_per_session",
+    "interarrival": "interarrival_s",
+    "seed": "seed",
+}
+
+PLANES: Tuple[Plane, ...] = (
+    Plane(
+        name="conformance",
+        help="vectors + oracles + state machine + fuzzing, one report",
+        run=conformance.run_conformance,
+        flags={
+            "seed": "seed",
+            "fuzz-iterations": ("fuzz_iterations",
+                                "mutations per fuzz target"),
+            "depth": ("statemachine_depth",
+                      "state-machine enumeration depth"),
+        },
+        render=conformance.format_report,
+        ok=lambda report: report.ok,
+    ),
+    Plane(
+        name="survivability",
+        help="mixed benign/attack load -> byte-stable JSON report",
+        run=run_survivability,
+        flags={
+            "sessions": "sessions",
+            "requests": "requests_per_session",
+            "interarrival": "interarrival_s",
+            "attacker-fraction": ("attacker_fraction",
+                                  "attacker share of total traffic"),
+            "fault-rate": ("fault_rate", "wired-leg fault probability"),
+            "seed": "seed",
+        },
+        render=_json(survivability.build_report),
+        ok=_reconciled,
+    ),
+    Plane(
+        name="failover",
+        help="sharded-fleet crash sweep -> byte-stable JSON report",
+        run=run_failover,
+        flags=_FLEET_FLAGS,
+        render=_json(failover.build_report),
+        ok=_reconciled,
+    ),
+    Plane(
+        name="mcommerce",
+        help="m-commerce workload over the fleet -> byte-stable report",
+        run=run_mcommerce,
+        flags={
+            "sessions": "sessions",
+            "shards": "shards",
+            "duration": ("duration_s", "virtual arrival window in seconds"),
+            "seed": "seed",
+        },
+        render=_json(mcommerce.build_report),
+        ok=lambda result: (
+            result.reconciliation.ok
+            and all(p["binding_holds"] for p in result.payments)),
+    ),
+    Plane(
+        name="fleetwatch",
+        help="watched failover run: traces + windows + SLO burn alerts",
+        run=run_fleetwatch,
+        flags=_FLEET_FLAGS,
+        render=_json(fleetwatch.build_report),
+        ok=lambda result: result.failover.reconciliation.ok,
+        exports={
+            "jsonl": (lambda result: fleet_jsonl(
+                result.failover.telemetry, result.store),
+                "write the fleet-scope JSONL trace log"),
+            "metrics": (lambda result: prometheus_text(
+                result.failover.telemetry),
+                "write the final Prometheus scrape"),
+            "folded": (lambda result: fleet_flamegraph_folds(
+                result.failover.telemetry, result.store),
+                "write shard-rooted folded flame stacks"),
+        },
+    ),
+)
+
+
+def _flag_spec(spec: FlagSpec) -> Tuple[str, Optional[str]]:
+    return (spec, None) if isinstance(spec, str) else spec
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -145,7 +285,6 @@ def _cmd_telemetry_report(args: argparse.Namespace) -> int:
     from .observability.attribution import phase_energy_mj
     from .observability.export import (
         flamegraph_folds,
-        prometheus_text,
         rollup_table,
         span_tree,
         write_jsonl,
@@ -196,123 +335,29 @@ def _cmd_telemetry_report(args: argparse.Namespace) -> int:
         write_jsonl(telemetry, args.jsonl)
         print(f"wrote deterministic trace to {args.jsonl}")
     if args.folded:
-        with open(args.folded, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(flamegraph_folds(telemetry))
+        _write(args.folded, flamegraph_folds(telemetry))
         print(f"wrote flamegraph folds to {args.folded}")
     return 0 if recon.ok else 1
 
 
-def _cmd_conformance(args: argparse.Namespace) -> int:
-    from .conformance.runner import format_report, run_conformance
-
-    report = run_conformance(
-        seed=args.seed,
-        fuzz_iterations=args.fuzz_iterations,
-        statemachine_depth=args.depth,
-    )
-    text = format_report(report)
+def _cmd_plane(plane: Plane, args: argparse.Namespace) -> int:
+    result = plane.run(**{
+        _flag_spec(spec)[0]: getattr(args, flag.replace("-", "_"))
+        for flag, spec in plane.flags.items()})
+    text = plane.render(result)
     print(text, end="")
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return 0 if report.ok else 1
+        _write(args.report, text)
+    for flag, (render, _) in plane.exports.items():
+        path = getattr(args, flag)
+        if path:
+            _write(path, render(result))
+    return 0 if plane.ok(result) else 1
 
 
-def _cmd_survivability(args: argparse.Namespace) -> int:
-    from .adversary import run_survivability
-    from .analysis.survivability import build_report, format_report
-
-    result = run_survivability(
-        sessions=args.sessions,
-        requests_per_session=args.requests,
-        interarrival_s=args.interarrival,
-        attacker_fraction=args.attacker_fraction,
-        fault_rate=args.fault_rate,
-        seed=args.seed,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return 0 if result.reconciliation.ok else 1
-
-
-def _cmd_failover(args: argparse.Namespace) -> int:
-    from .analysis.failover import build_report, format_report
-    from .fleet import run_failover
-
-    result = run_failover(
-        sessions=args.sessions,
-        shards=args.shards,
-        requests_per_session=args.requests,
-        interarrival_s=args.interarrival,
-        seed=args.seed,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return 0 if result.reconciliation.ok else 1
-
-
-def _cmd_mcommerce(args: argparse.Namespace) -> int:
-    from .analysis.mcommerce import build_report, format_report
-    from .workloads import run_mcommerce
-
-    result = run_mcommerce(
-        sessions=args.sessions,
-        shards=args.shards,
-        seed=args.seed,
-        duration_s=args.duration,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    ok = (result.reconciliation.ok
-          and all(p["binding_holds"] for p in result.payments))
-    return 0 if ok else 1
-
-
-def _cmd_fleetwatch(args: argparse.Namespace) -> int:
-    from .analysis.fleetwatch import build_report, format_report
-    from .observability.export import (
-        fleet_flamegraph_folds,
-        fleet_jsonl,
-        prometheus_text,
-    )
-    from .observability.fleetwatch import run_fleetwatch
-
-    result = run_fleetwatch(
-        sessions=args.sessions,
-        shards=args.shards,
-        requests_per_session=args.requests,
-        interarrival_s=args.interarrival,
-        seed=args.seed,
-    )
-    text = format_report(build_report(result))
-    print(text, end="")
-    telemetry = result.failover.telemetry
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(fleet_jsonl(telemetry, result.store))
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(prometheus_text(telemetry))
-    if args.folded:
-        with open(args.folded, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(fleet_flamegraph_folds(telemetry, result.store))
-    return 0 if result.failover.reconciliation.ok else 1
-
-
-def main(argv=None) -> int:
-    """CLI entry point."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser; plane subcommands come from
+    :data:`PLANES`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Securing Mobile Appliances (DATE 2003) reproduction",
@@ -344,70 +389,28 @@ def main(argv=None) -> int:
                            help="write the deterministic JSONL trace here")
     telemetry.add_argument("--folded", metavar="PATH", default=None,
                            help="write flamegraph-style folded stacks here")
-    conformance = sub.add_parser(
-        "conformance",
-        help="vectors + oracles + state machine + fuzzing, one report")
-    conformance.add_argument("--seed", type=int, default=2003)
-    conformance.add_argument("--fuzz-iterations", type=int, default=150,
-                             help="mutations per fuzz target")
-    conformance.add_argument("--depth", type=int, default=4,
-                             help="state-machine enumeration depth")
-    conformance.add_argument("--report", metavar="PATH", default=None,
+    for plane in PLANES:
+        command = sub.add_parser(plane.name, help=plane.help)
+        parameters = inspect.signature(plane.run).parameters
+        for flag, spec in plane.flags.items():
+            keyword, text = _flag_spec(spec)
+            default = parameters[keyword].default
+            command.add_argument(f"--{flag}", type=type(default),
+                                 default=default, help=text)
+        command.add_argument("--report", metavar="PATH", default=None,
                              help="also write the report text here")
-    survivability = sub.add_parser(
-        "survivability",
-        help="mixed benign/attack load -> byte-stable JSON report")
-    survivability.add_argument("--sessions", type=int, default=32)
-    survivability.add_argument("--requests", type=int, default=4)
-    survivability.add_argument("--interarrival", type=float, default=0.1)
-    survivability.add_argument("--attacker-fraction", type=float,
-                               default=0.5,
-                               help="attacker share of total traffic")
-    survivability.add_argument("--fault-rate", type=float, default=0.0,
-                               help="wired-leg fault probability")
-    survivability.add_argument("--seed", type=int, default=2003)
-    survivability.add_argument("--report", metavar="PATH", default=None,
-                               help="also write the JSON report here")
-    failover = sub.add_parser(
-        "failover",
-        help="sharded-fleet crash sweep -> byte-stable JSON report")
-    failover.add_argument("--sessions", type=int, default=24)
-    failover.add_argument("--shards", type=int, default=4)
-    failover.add_argument("--requests", type=int, default=6)
-    failover.add_argument("--interarrival", type=float, default=0.35)
-    failover.add_argument("--seed", type=int, default=2003)
-    failover.add_argument("--report", metavar="PATH", default=None,
-                          help="also write the JSON report here")
+        for flag, (_, text) in plane.exports.items():
+            command.add_argument(f"--{flag}", metavar="PATH", default=None,
+                                 help=text)
+    return parser
 
-    mcommerce = sub.add_parser(
-        "mcommerce",
-        help="m-commerce workload over the fleet -> byte-stable report")
-    mcommerce.add_argument("--sessions", type=int, default=18)
-    mcommerce.add_argument("--shards", type=int, default=3)
-    mcommerce.add_argument("--duration", type=float, default=1.2,
-                           help="virtual arrival window in seconds")
-    mcommerce.add_argument("--seed", type=int, default=2003)
-    mcommerce.add_argument("--report", metavar="PATH", default=None,
-                           help="also write the JSON report here")
 
-    fleetwatch = sub.add_parser(
-        "fleetwatch",
-        help="watched failover run: traces + windows + SLO burn alerts")
-    fleetwatch.add_argument("--sessions", type=int, default=24)
-    fleetwatch.add_argument("--shards", type=int, default=4)
-    fleetwatch.add_argument("--requests", type=int, default=6)
-    fleetwatch.add_argument("--interarrival", type=float, default=0.35)
-    fleetwatch.add_argument("--seed", type=int, default=2003)
-    fleetwatch.add_argument("--report", metavar="PATH", default=None,
-                            help="also write the JSON ops report here")
-    fleetwatch.add_argument("--jsonl", metavar="PATH", default=None,
-                            help="write the fleet-scope JSONL trace log")
-    fleetwatch.add_argument("--metrics", metavar="PATH", default=None,
-                            help="write the final Prometheus scrape")
-    fleetwatch.add_argument("--folded", metavar="PATH", default=None,
-                            help="write shard-rooted folded flame stacks")
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    """CLI entry point."""
+    args = build_parser().parse_args(argv)
+    planes = {plane.name: plane for plane in PLANES}
+    if args.command in planes:
+        return _cmd_plane(planes[args.command], args)
     handlers = {
         "figures": _cmd_figures,
         "figure": _cmd_figures,
@@ -416,11 +419,6 @@ def main(argv=None) -> int:
         "battery": _cmd_battery,
         "appliance": _cmd_appliance,
         "telemetry-report": _cmd_telemetry_report,
-        "conformance": _cmd_conformance,
-        "survivability": _cmd_survivability,
-        "failover": _cmd_failover,
-        "mcommerce": _cmd_mcommerce,
-        "fleetwatch": _cmd_fleetwatch,
     }
     return handlers[args.command](args)
 

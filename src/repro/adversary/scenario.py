@@ -30,7 +30,7 @@ from ..observability.metrics import (
     export_dos_responder,
     export_runtime,
 )
-from ..observability.scenario import ORIGIN, classify_reply
+from ..observability.scenario import ORIGIN
 from ..observability.spans import Telemetry
 from ..protocols.dos import CookieProtectedResponder
 from ..protocols.faults import FaultyChannel
@@ -39,6 +39,7 @@ from ..protocols.gateway_runtime import (
     RuntimeConfig,
     RuntimeStats,
     build_gateway_runtime_world,
+    parse_reply,
 )
 from ..protocols.alerts import ProtocolAlert
 from ..protocols.reliable import VirtualClock
@@ -296,7 +297,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
         for session_id in session_ids:
             conn = handsets[session_id]
             while conn.endpoint.pending():
-                replies.append(classify_reply(conn.receive()))
+                replies.append(parse_reply(conn.receive())[0])
     counts = {kind: replies.count(kind)
               for kind in ("served", "degraded", "shed")}
     all_batteries = list(batteries.values()) + [

@@ -1,6 +1,6 @@
 """Analysis utilities: figure regeneration, reporting, sweeps."""
 
-from .chaos import chaos_point, chaos_sweep, classify_reply
+from .chaos import chaos_point, chaos_sweep
 from .figures import (
     all_figures,
     figure1_data,
@@ -24,7 +24,7 @@ __all__ = [
     "figure5_data", "figure6_data", "all_figures",
     "format_table", "format_series",
     "sweep", "SweepResult",
-    "chaos_point", "chaos_sweep", "classify_reply",
+    "chaos_point", "chaos_sweep",
     "leakage_snr", "cpa_success_curve", "timing_attack_success_curve",
     "SuccessCurve",
 ]

@@ -14,23 +14,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..protocols.gateway_runtime import (
-    BUSY_PREFIX,
     RuntimeConfig,
     build_gateway_runtime_world,
+    parse_reply,
 )
-from ..protocols.wap import DEGRADED_PREFIX
 from .sweep import SweepResult, sweep
 
 ORIGIN = "origin.example"
-
-
-def classify_reply(reply: bytes) -> str:
-    """One of ``served`` / ``degraded`` / ``shed`` for a runtime reply."""
-    if reply.startswith(BUSY_PREFIX):
-        return "shed"
-    if reply.startswith(DEGRADED_PREFIX):
-        return "degraded"
-    return "served"
 
 
 def chaos_point(sessions: int = 4, requests_per_session: int = 8,
@@ -61,10 +51,11 @@ def chaos_point(sessions: int = 4, requests_per_session: int = 8,
     for session_id in session_ids:
         conn = handsets[session_id]
         while conn.endpoint.pending():
-            replies.append(classify_reply(conn.receive()))
+            replies.append(parse_reply(conn.receive())[0])
     counts = {kind: replies.count(kind)
               for kind in ("served", "degraded", "shed")}
-    assert stats.answered == stats.submitted, "a request went unanswered"
+    if stats.answered != stats.submitted:
+        raise RuntimeError("a request went unanswered")
     return {
         "sessions": sessions,
         "offered_per_s": round(sessions / interarrival_s, 3),

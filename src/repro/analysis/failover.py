@@ -15,18 +15,14 @@ CI gate for deterministic failover.
 
 from __future__ import annotations
 
-import json
 from typing import Dict
+
+from .report import format_report  # noqa: F401  (re-exported)
 
 #: The declared availability bound for the acceptance chaos run: every
 #: submitted request is answered (served/degraded/structured shed) —
 #: a crash may cost latency and recovering sheds, never silence.
 DECLARED_ANSWER_RATE = 1.0
-
-
-def _round_map(values: Dict[str, float], digits: int = 6) -> Dict[str, float]:
-    return {key: round(value, digits)
-            for key, value in sorted(values.items())}
 
 
 def build_report(result) -> Dict[str, object]:
@@ -116,8 +112,3 @@ def build_report(result) -> Dict[str, object]:
         },
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON rendering (trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

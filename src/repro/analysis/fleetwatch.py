@@ -25,11 +25,11 @@ sort_keys=True)`` over rounded floats, trailing newline — the CI
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from ..observability.tracecontext import CTX_TRACE
 from .failover import build_report as build_failover_report
+from .report import format_report  # noqa: F401  (re-exported)
 
 
 def _journey_rows(result) -> Dict[str, object]:
@@ -96,8 +96,3 @@ def build_report(result) -> Dict[str, object]:
         "slo": watch.engine.summary(),
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON rendering (trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -17,11 +17,11 @@ CI gate for a deterministic workload plane.
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from ..fleet.runtime import _channel_bytes
 from ..workloads.mcommerce import BATTERY_CLASSES
+from .report import format_report  # noqa: F401  (re-exported)
 
 
 def build_report(result) -> Dict[str, object]:
@@ -126,8 +126,3 @@ def build_report(result) -> Dict[str, object]:
         },
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON (the CI ``cmp`` target)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

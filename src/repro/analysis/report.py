@@ -1,13 +1,22 @@
-"""Plain-text table/series rendering for the figure benches.
+"""Report rendering: figure tables and the canonical plane-report JSON.
 
-The reproduction regenerates each figure's *data*; these helpers print
-it as aligned rows so the bench output reads like the paper's figures
-in tabular form (EXPERIMENTS.md records the same rows).
+The reproduction regenerates each figure's *data*; :func:`format_table`
+and :func:`format_series` print it as aligned rows so the bench output
+reads like the paper's figures in tabular form (EXPERIMENTS.md records
+the same rows).  :func:`format_report` is the one writer behind every
+byte-stable JSON plane report.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import json
+from typing import Dict, Iterable, List, Sequence
+
+
+def format_report(report: Dict[str, object]) -> str:
+    """Canonical byte-stable JSON: sorted keys, two-space indent and a
+    trailing newline, so two same-seed reports compare with ``cmp``."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence],

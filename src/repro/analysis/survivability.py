@@ -13,10 +13,10 @@ over rounded floats, so two same-seed runs compare with ``cmp``.
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from ..observability.attribution import adversary_energy_mj
+from .report import format_report  # noqa: F401  (re-exported)
 
 #: The declared survivability bound: benign goodput under a 50%
 #: attacker mix must stay within this much (absolute served-fraction)
@@ -90,8 +90,3 @@ def build_report(result) -> Dict[str, object]:
         },
     }
     return report
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """Canonical byte-stable JSON rendering (trailing newline)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -316,14 +316,19 @@ def golden_messages() -> Dict[str, bytes]:
     server_finished = machine.feed(finished_record)
     # Close the loop: the golden client verifies the server's Finished.
     content_type, payload = decoder.decode(server_finished)
-    assert content_type == CONTENT_HANDSHAKE
+    if content_type != CONTENT_HANDSHAKE:
+        raise RuntimeError("golden client: server Finished is not a "
+                           "handshake record")
     expected = finished_verify_data(master, transcript, b"server finished")
-    assert Finished.from_bytes(payload).verify_data == expected
+    if Finished.from_bytes(payload).verify_data != expected:
+        raise RuntimeError("golden client: server Finished does not verify")
 
     appdata_record = encoder.encode(
         CONTENT_APPLICATION, b"conformance: application data")
     machine.feed(appdata_record)
-    assert machine.state == DATA_RECEIVED
+    if machine.state != DATA_RECEIVED:
+        raise RuntimeError(f"golden client: machine ended in {machine.state}, "
+                           f"not {DATA_RECEIVED}")
 
     _GOLDEN = {
         "client_hello": client_hello,

@@ -25,9 +25,8 @@ from ..hardware.battery import Battery
 from ..observability import probe
 from ..observability.attribution import EnergyReconciliation, reconcile_energy
 from ..observability.metrics import export_fleet
-from ..observability.scenario import classify_reply
 from ..observability.spans import Telemetry
-from ..protocols.gateway_runtime import RuntimeStats
+from ..protocols.gateway_runtime import RuntimeStats, parse_reply
 from ..protocols.reliable import VirtualClock
 from .runtime import (
     ORIGIN_NAME,
@@ -52,16 +51,6 @@ class FailoverResult:
     batteries: Dict[str, Battery]
     reconciliation: EnergyReconciliation
     params: Dict[str, object] = field(default_factory=dict)
-
-
-def classify_shed_reason(reply: bytes) -> Optional[str]:
-    """The ``reason=`` token of a ``GW-BUSY:`` reply, else ``None``."""
-    if classify_reply(reply) != "shed":
-        return None
-    for token in reply.decode("ascii", "replace").split():
-        if token.startswith("reason="):
-            return token.split("=", 1)[1]
-    return "unknown"
 
 
 def run_failover(sessions: int = 24, shards: int = 4,
@@ -149,8 +138,8 @@ def run_failover(sessions: int = 24, shards: int = 4,
             replies = fleet.collect_replies(session_id)
             per_session[session_id] = len(replies)
             for reply in replies:
-                counts[classify_reply(reply)] += 1
-                reason = classify_shed_reason(reply)
+                kind, reason = parse_reply(reply)
+                counts[kind] += 1
                 if reason is not None:
                     shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
     return FailoverResult(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..protocols.ciphersuites import SUITES_BY_NAME
 from ..protocols.transport import Endpoint
@@ -209,17 +209,3 @@ def restore_connection(snapshot: SessionSnapshot, endpoint: Endpoint,
     return WTLSConnection(
         encoder=encoder, decoder=decoder, endpoint=endpoint,
         suite_name=snapshot.suite_name, discarded=snapshot.discarded)
-
-
-def snapshot_equal_state(left: Optional[SessionSnapshot],
-                         right: Optional[SessionSnapshot]) -> bool:
-    """Whether two snapshots describe identical record-layer state
-    (ignoring the battery reading, which other planes mutate)."""
-    if left is None or right is None:
-        return left is right
-    return (left.session_id == right.session_id
-            and left.suite_name == right.suite_name
-            and left.enc_sequence == right.enc_sequence
-            and left.dec_seen == right.dec_seen
-            and left.dec_highest_sequence == right.dec_highest_sequence
-            and left.dec_received == right.dec_received)

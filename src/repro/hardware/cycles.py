@@ -87,11 +87,6 @@ def rsa_public_instructions(bits: int, e: int = 65537) -> float:
     return mults * modmult_instructions(bits)
 
 
-def dh_instructions(bits: int) -> float:
-    """One DH exponentiation (full-size exponent)."""
-    return 1.5 * bits * modmult_instructions(bits)
-
-
 # -- protocol-level costs -----------------------------------------------------
 
 HANDSHAKE_PROTOCOL_OVERHEAD_MI = 1.0   # parsing, cert decode, state machine

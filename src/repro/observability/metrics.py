@@ -440,22 +440,6 @@ def export_degradation_report(registry: MetricsRegistry, report,
                   help_text="appliance supervisor degradation ledger")
 
 
-def export_reliable_stats(registry: MetricsRegistry, stats,
-                          endpoint: str) -> None:
-    """Adapter for :class:`~repro.protocols.reliable.ReliableStats`."""
-    attach_ledger(registry, "repro_arq", stats,
-                  labels={"endpoint": endpoint},
-                  help_text="go-back-N ARQ endpoint ledger")
-
-
-def export_recovery_report(registry: MetricsRegistry, report,
-                           session: str = "session") -> None:
-    """Adapter for :class:`~repro.protocols.recovery.RecoveryReport`."""
-    attach_ledger(registry, "repro_recovery", report,
-                  labels={"session": session},
-                  help_text="session recovery ledger")
-
-
 def export_battery(registry: MetricsRegistry, battery,
                    device: str = "appliance") -> None:
     """Live gauges for a :class:`~repro.hardware.battery.Battery`."""

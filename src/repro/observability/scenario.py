@@ -25,6 +25,7 @@ from ..protocols.gateway_runtime import (
     RuntimeConfig,
     RuntimeStats,
     build_gateway_runtime_world,
+    parse_reply,
 )
 from ..protocols.reliable import VirtualClock
 from . import probe
@@ -33,17 +34,6 @@ from .metrics import export_runtime
 from .spans import Telemetry
 
 ORIGIN = "origin.example"
-
-
-def classify_reply(reply: bytes) -> str:
-    """``served`` / ``degraded`` / ``shed`` for one runtime reply."""
-    from ..protocols.gateway_runtime import BUSY_PREFIX
-    from ..protocols.wap import DEGRADED_PREFIX
-    if reply.startswith(BUSY_PREFIX):
-        return "shed"
-    if reply.startswith(DEGRADED_PREFIX):
-        return "degraded"
-    return "served"
 
 
 @dataclass
@@ -105,7 +95,7 @@ def run_gateway_chaos(sessions: int = 32, requests_per_session: int = 4,
         for session_id in session_ids:
             conn = handsets[session_id]
             while conn.endpoint.pending():
-                replies.append(classify_reply(conn.receive()))
+                replies.append(parse_reply(conn.receive())[0])
     counts = {kind: replies.count(kind)
               for kind in ("served", "degraded", "shed")}
     return ChaosTelemetryResult(

@@ -67,6 +67,24 @@ def busy_reply(reason: str, retry_after_s: Optional[float] = None) -> bytes:
     return reply
 
 
+def parse_reply(reply: bytes) -> Tuple[str, Optional[str]]:
+    """``(kind, shed_reason)`` for one runtime reply.
+
+    ``kind`` is ``served``, ``degraded`` or ``shed``.  ``shed_reason``
+    is the :func:`busy_reply` ``reason=`` token of a shed (``unknown``
+    when the reply carries none) and ``None`` for any other kind.
+    """
+    if reply.startswith(BUSY_PREFIX):
+        for token in reply.split():
+            if token.startswith(b"reason="):
+                return "shed", token.partition(b"=")[2].decode(
+                    "ascii", "replace")
+        return "shed", "unknown"
+    if reply.startswith(DEGRADED_PREFIX):
+        return "degraded", None
+    return "served", None
+
+
 @dataclass(frozen=True)
 class BreakerConfig:
     """Circuit-breaker tunables."""

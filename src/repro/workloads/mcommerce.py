@@ -49,7 +49,6 @@ from ..hardware.energy import EnergyModel
 from ..observability import probe
 from ..observability.attribution import EnergyReconciliation, reconcile_energy
 from ..observability.metrics import export_fleet
-from ..observability.scenario import classify_reply
 from ..observability.spans import Telemetry
 from ..protocols.ciphersuites import (
     ALL_SUITES,
@@ -61,6 +60,7 @@ from ..protocols.ciphersuites import (
     RSA_WITH_TRIVIUM_SHA,
     CipherSuite,
 )
+from ..protocols.gateway_runtime import parse_reply
 from ..protocols.payment import (
     Merchant,
     OrderInfo,
@@ -358,7 +358,7 @@ def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
             replies = fleet.collect_replies(plan.session_id)
             per_session[plan.session_id] = len(replies)
             for reply in replies:
-                counts[classify_reply(reply)] += 1
+                counts[parse_reply(reply)[0]] += 1
     return MCommerceResult(
         fleet=fleet,
         telemetry=telemetry,

@@ -35,6 +35,7 @@ from repro.protocols.gateway_runtime import (
     TokenBucket,
     build_gateway_runtime_world,
     busy_reply,
+    parse_reply,
 )
 from repro.protocols.wap import DEGRADED_PREFIX, build_wap_world
 
@@ -122,6 +123,23 @@ def test_busy_reply_is_machine_parseable():
     assert busy_reply("deadline") == b"GW-BUSY: reason=deadline"
     assert busy_reply("rate-limited", 0.125) == \
         b"GW-BUSY: reason=rate-limited retry-after=0.125"
+
+
+@pytest.mark.parametrize("reason", ["malformed", "rate-limited", "queue-full",
+                                    "deadline", "recovering"])
+@pytest.mark.parametrize("retry_after_s", [None, 0.125])
+def test_parse_reply_round_trips_every_shed_reason(reason, retry_after_s):
+    assert parse_reply(busy_reply(reason, retry_after_s)) == ("shed", reason)
+
+
+def test_parse_reply_served_degraded_and_reasonless_busy():
+    assert parse_reply(BUSY_PREFIX) == ("shed", "unknown")
+    assert parse_reply(BUSY_PREFIX + b" retry-after=1.000") == \
+        ("shed", "unknown")
+    assert parse_reply(DEGRADED_PREFIX + b" origin circuit open") == \
+        ("degraded", None)
+    assert parse_reply(b"content for reason=deadline") == ("served", None)
+    assert parse_reply(b"") == ("served", None)
 
 
 # -- shedding paths ----------------------------------------------------------
