@@ -30,7 +30,6 @@ from ..observability.metrics import (
     export_dos_responder,
     export_runtime,
 )
-from ..observability.scenario import ORIGIN
 from ..observability.spans import Telemetry
 from ..protocols.dos import CookieProtectedResponder
 from ..protocols.faults import FaultyChannel
@@ -39,11 +38,13 @@ from ..protocols.gateway_runtime import (
     RuntimeConfig,
     RuntimeStats,
     build_gateway_runtime_world,
-    parse_reply,
+    handset_reply_counts,
+    submit_rounds,
 )
 from ..protocols.alerts import ProtocolAlert
 from ..protocols.reliable import VirtualClock
 from ..protocols.transport import ChannelClosed
+from ..protocols.wap import GATEWAY_NAME, ORIGIN_NAME
 from .population import (
     AdversaryPopulation,
     CookieFloodAdversary,
@@ -52,7 +53,6 @@ from .population import (
     TimingProbeAdversary,
 )
 
-GATEWAY_SUBJECT = "gateway.operator"
 SECRET_ROTATION_S = 0.25
 
 
@@ -84,10 +84,6 @@ class SurvivabilityResult:
     reconciliation: EnergyReconciliation
     leftover_discarded: int = 0
     params: Dict[str, object] = field(default_factory=dict)
-    #: Windowed attacker-vs-user battery-drain split (mJ per window),
-    #: present only when ``energy_window_s`` was passed — the default
-    #: run (and its byte-stable report) is unchanged.
-    energy_split: Optional[Dict[str, object]] = None
 
     @property
     def benign_goodput(self) -> float:
@@ -107,7 +103,7 @@ def _build_population(seed: int, rate_per_class: float,
     downgrade = DowngradeAdversary(
         "mitm-0", rate_per_class, seed,
         server_config=runtime.gateway.gateway_config, ca=ca,
-        expected_server=GATEWAY_SUBJECT,
+        expected_server=GATEWAY_NAME,
         battery=Battery(capacity_j=attacker_battery_j))
     timing = TimingProbeAdversary(
         "probe-0", rate_per_class, seed,
@@ -151,8 +147,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
                       fault_rate: float = 0.0, seed: int = 2003,
                       battery_capacity_j: float = 5.0,
                       attacker_battery_j: float = 2.0,
-                      config: Optional[RuntimeConfig] = None,
-                      energy_window_s: Optional[float] = None
+                      config: Optional[RuntimeConfig] = None
                       ) -> SurvivabilityResult:
     """One seeded mixed benign/attack run on a single virtual clock.
 
@@ -162,12 +157,6 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
     ``attacker_fraction`` of total traffic.  Every benign request is
     answered (served / degraded / structured shed), every millijoule
     reconciles, and the whole run is a pure function of its parameters.
-
-    ``energy_window_s`` (opt-in) additionally tracks the
-    attacker-vs-user battery-drain split as windowed series
-    (``result.energy_split`` with ``user_mj`` / ``attacker_mj``
-    :class:`~repro.observability.timeseries.WindowedSeries`); the run
-    itself — and the default survivability report — is unchanged.
     """
     if not 0.0 <= attacker_fraction < 1.0:
         raise ValueError("attacker fraction must be in [0, 1)")
@@ -193,8 +182,9 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             batteries=batteries, clock=clock,
             channel_factory=channels.__getitem__)
         if fault_rate > 0.0:
-            runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
+            runtime.set_fault_rate(ORIGIN_NAME, fault_rate, seed=seed)
         export_runtime(telemetry.registry, runtime)
+        session_ids = sorted(handsets)
 
         # The DoS front gate: benign handsets pass the cookie exchange
         # at attach time; the flood adversary hammers the same gate.
@@ -203,7 +193,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             pending_limit=64)
         export_dos_responder(telemetry.registry, responder)
         gate_rng = DeterministicDRBG(("surv-gate", seed).__repr__())
-        for index, session_id in enumerate(sorted(handsets)):
+        for index, session_id in enumerate(session_ids):
             address = f"192.168.1.{index + 2}"
             nonce = gate_rng.random_bytes(8)
             cookie = responder.first_contact(address, nonce)
@@ -234,39 +224,8 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
 
         runtime.add_ticker(rotate)
 
-        energy_split: Optional[Dict[str, object]] = None
-        if energy_window_s is not None:
-            from ..observability.timeseries import WindowedSeries
-            energy_split = {
-                "user_mj": WindowedSeries("user_mj", energy_window_s),
-                "attacker_mj": WindowedSeries("attacker_mj",
-                                              energy_window_s),
-            }
-            drained = {"user": 0.0, "attacker": 0.0}
-
-            def sample_energy(now: float) -> None:
-                user = sum((b.capacity_j - b.remaining_j) * 1000.0
-                           for b in batteries.values())
-                attacker = sum(
-                    (a.battery.capacity_j - a.battery.remaining_j) * 1000.0
-                    for a in population.adversaries)
-                energy_split["user_mj"].inc(now, user - drained["user"])
-                energy_split["attacker_mj"].inc(
-                    now, attacker - drained["attacker"])
-                drained["user"] = user
-                drained["attacker"] = attacker
-
-            runtime.add_ticker(sample_energy)
-
-        session_ids = sorted(handsets)
-        for round_index in range(requests_per_session):
-            for slot, session_id in enumerate(session_ids):
-                handsets[session_id].send(
-                    f"req-{session_id}-{round_index}".encode())
-                runtime.submit(
-                    session_id, ORIGIN,
-                    arrival_offset_s=round_index * interarrival_s
-                    + slot * interarrival_s / max(1, sessions))
+        submit_rounds(runtime, handsets, requests_per_session,
+                      interarrival_s)
         stats = runtime.run()
 
         # Let the population catch up to the scenario horizon, then
@@ -290,16 +249,7 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             runtime.sessions[sid].conn.discarded
             for sid in session_ids) - leftover_before
         population.finish(clock.now)
-        if energy_split is not None:
-            sample_energy(clock.now)  # final flush into the last window
-
-        replies: List[str] = []
-        for session_id in session_ids:
-            conn = handsets[session_id]
-            while conn.endpoint.pending():
-                replies.append(parse_reply(conn.receive())[0])
-    counts = {kind: replies.count(kind)
-              for kind in ("served", "degraded", "shed")}
+        counts = handset_reply_counts(handsets)
     all_batteries = list(batteries.values()) + [
         adversary.battery for adversary in population.adversaries]
     return SurvivabilityResult(
@@ -323,5 +273,4 @@ def run_survivability(sessions: int = 32, requests_per_session: int = 4,
             "battery_capacity_j": battery_capacity_j,
             "attacker_battery_j": attacker_battery_j,
         },
-        energy_split=energy_split,
     )

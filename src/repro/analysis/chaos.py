@@ -11,16 +11,11 @@ served request.  Every point is a pure function of its seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..protocols.gateway_runtime import (
-    RuntimeConfig,
-    build_gateway_runtime_world,
-    parse_reply,
-)
+from ..observability.scenario import run_gateway_chaos
+from ..protocols.gateway_runtime import RuntimeConfig
 from .sweep import SweepResult, sweep
-
-ORIGIN = "origin.example"
 
 
 def chaos_point(sessions: int = 4, requests_per_session: int = 8,
@@ -32,28 +27,14 @@ def chaos_point(sessions: int = 4, requests_per_session: int = 8,
     ``interarrival_s`` is the per-handset request period; the aggregate
     offered load is ``sessions / interarrival_s`` requests per virtual
     second, which the runtime's admission rate then accepts or sheds.
+    The point is a view of :func:`~repro.observability.scenario
+    .run_gateway_chaos` at these parameters.
     """
-    runtime, handsets, _ = build_gateway_runtime_world(
-        sessions=sessions, seed=seed, config=config)
-    if fault_rate > 0.0:
-        runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
-    session_ids = sorted(handsets)
-    for round_index in range(requests_per_session):
-        for slot, session_id in enumerate(session_ids):
-            handsets[session_id].send(
-                f"req-{session_id}-{round_index}".encode())
-            runtime.submit(
-                session_id, ORIGIN,
-                arrival_offset_s=round_index * interarrival_s
-                + slot * interarrival_s / max(1, sessions))
-    stats = runtime.run()
-    replies: List[str] = []
-    for session_id in session_ids:
-        conn = handsets[session_id]
-        while conn.endpoint.pending():
-            replies.append(parse_reply(conn.receive())[0])
-    counts = {kind: replies.count(kind)
-              for kind in ("served", "degraded", "shed")}
+    result = run_gateway_chaos(
+        sessions=sessions, requests_per_session=requests_per_session,
+        interarrival_s=interarrival_s, fault_rate=fault_rate, seed=seed,
+        config=config)
+    stats, counts = result.stats, result.counts
     if stats.answered != stats.submitted:
         raise RuntimeError("a request went unanswered")
     return {

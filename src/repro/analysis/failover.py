@@ -32,12 +32,11 @@ def build_report(result) -> Dict[str, object]:
     recon = result.reconciliation
     totals = fleet.runtime_totals()
     answered = sum(result.per_session_replies.values())
-    user_mj = sum(
-        (battery.capacity_j - battery.remaining_j) * 1000.0
-        for battery in result.batteries.values())
+    user_mj = sum(battery.drained_mj
+                  for battery in result.batteries.values())
     shards = {}
     for shard in fleet.shards:
-        ledgers = list(shard.retired_stats) + [shard.runtime.stats]
+        ledgers = shard.ledgers
         shards[shard.name] = {
             "crashes": shard.crash_count,
             "incarnations": len(ledgers),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..fleet.runtime import _channel_bytes
 from ..workloads.mcommerce import BATTERY_CLASSES
 from .report import format_report  # noqa: F401  (re-exported)
 
@@ -37,8 +36,8 @@ def build_report(result) -> Dict[str, object]:
     by_class: Dict[str, Dict[str, float]] = {}
     for plan in result.plans:
         battery = result.batteries[plan.session_id]
-        drained_mj = (battery.capacity_j - battery.remaining_j) * 1000.0
-        wire_bytes = _channel_bytes(fleet.channels[plan.session_id])
+        drained_mj = battery.drained_mj
+        wire_bytes = fleet.channels[plan.session_id].wire_bytes
         transactions = len(plan.arrivals_s)
         suite_row = by_suite.setdefault(plan.suite_name, {
             "sessions": 0, "transactions": 0, "answered": 0,
@@ -74,9 +73,8 @@ def build_report(result) -> Dict[str, object]:
 
     transactions_total = sum(len(plan.arrivals_s)
                              for plan in result.plans)
-    user_mj = sum(
-        (battery.capacity_j - battery.remaining_j) * 1000.0
-        for battery in result.batteries.values())
+    user_mj = sum(battery.drained_mj
+                  for battery in result.batteries.values())
     report: Dict[str, object] = {
         "params": dict(result.params),
         "traffic": {

@@ -34,9 +34,8 @@ def build_report(result) -> Dict[str, object]:
     """The survivability report as a plain, JSON-ready dict."""
     stats = result.stats
     recon = result.reconciliation
-    user_mj = sum(
-        (battery.capacity_j - battery.remaining_j) * 1000.0
-        for battery in result.batteries.values())
+    user_mj = sum(battery.drained_mj
+                  for battery in result.batteries.values())
     attacker_mj = result.population.energy_spent_mj()
     answered = sum(result.counts.values())
     report: Dict[str, object] = {

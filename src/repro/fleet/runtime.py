@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..crypto.rng import DeterministicDRBG
 from ..hardware.battery import Battery, BatteryEmpty
@@ -50,6 +50,7 @@ from ..protocols.gateway_runtime import (
     GatewayRuntime,
     RuntimeConfig,
     busy_reply,
+    tally_replies,
 )
 from ..protocols.handshake import (
     ClientConfig,
@@ -66,19 +67,17 @@ from ..protocols.resumption import (
     resume,
 )
 from ..protocols.transport import ChannelEmpty, DuplexChannel
-from ..protocols.wap import OriginServer, WAPGateway
-from ..protocols.wtls import (
-    WTLSConnection,
-    WTLSRecordDecoder,
-    WTLSRecordEncoder,
+from ..protocols.wap import (
+    GATEWAY_NAME,
+    ORIGIN_NAME,
+    OriginServer,
+    WAPGateway,
 )
+from ..protocols.wtls import WTLSConnection, make_wtls_connection
 from .journal import CheckpointJournal
 from .ring import ConsistentRing
 from .scheduler import Event, EventScheduler
 from .snapshot import capture_connection, restore_connection
-
-GATEWAY_NAME = "gateway.operator"
-ORIGIN_NAME = "origin.example"
 
 
 @dataclass(frozen=True)
@@ -199,6 +198,11 @@ class _Shard:
         # Stats ledgers of previous incarnations (a restart replaces
         # the runtime; the history must still add up).
         self.retired_stats: List = []
+
+    @property
+    def ledgers(self) -> List:
+        """Stats ledger of every incarnation, oldest first, live last."""
+        return list(self.retired_stats) + [self.runtime.stats]
 
     def next_event_time(self) -> Optional[float]:
         if not self.alive:
@@ -622,7 +626,7 @@ class ShardedFleet:
         bytes are charged to the handset battery."""
         self._flush_old_replies(session_id)
         self._black_hole_inbound(session_id, channel)
-        bytes_before = _channel_bytes(channel)
+        bytes_before = channel.wire_bytes
         try:
             client_session, server_session = resume(
                 self.client_configs[session_id],
@@ -633,7 +637,7 @@ class ShardedFleet:
             handset_conn, gateway_conn = _wtls_from_resumed(
                 client_session, server_session, channel)
             self._charge_recovery(
-                session_id, battery, _channel_bytes(channel) - bytes_before)
+                session_id, battery, channel.wire_bytes - bytes_before)
             self.stats.migrations_cold_resume += 1
             path = "cold-resume"
         except HandshakeFailure:
@@ -645,7 +649,7 @@ class ShardedFleet:
                 client, target.gateway.gateway_config, new_channel)
             self.channels[session_id] = new_channel
             self._charge_recovery(
-                session_id, battery, _channel_bytes(new_channel))
+                session_id, battery, new_channel.wire_bytes)
             # Re-ticket under the fresh master for the next crash.
             ticket = cache_session(
                 self.client_caches[session_id], client_session,
@@ -739,8 +743,7 @@ class ShardedFleet:
             "battery_refusals": 0, "energy_mj": 0.0,
         }
         for shard in self.shards:
-            ledgers = list(shard.retired_stats) + [shard.runtime.stats]
-            for stats in ledgers:
+            for stats in shard.ledgers:
                 for key in totals:
                     totals[key] += getattr(stats, key)
         totals["energy_mj"] = round(totals["energy_mj"], 9)
@@ -760,35 +763,30 @@ class ShardedFleet:
                 break
         return replies
 
+    def count_replies(self, session_ids: Iterable[str]
+                      ) -> Tuple[Dict[str, int], Dict[str, int],
+                                 Dict[str, int]]:
+        """Collect every session's replies, in ``session_ids`` order:
+        ``(counts by kind, sheds by reason, replies per session)``."""
+        replies: List[bytes] = []
+        per_session: Dict[str, int] = {}
+        for session_id in session_ids:
+            collected = self.collect_replies(session_id)
+            per_session[session_id] = len(collected)
+            replies.extend(collected)
+        counts, shed_reasons = tally_replies(replies)
+        return counts, shed_reasons, per_session
+
 
 # -- WTLS plumbing -----------------------------------------------------------
-
-
-def _channel_bytes(channel: DuplexChannel) -> int:
-    return sum(len(frame) for _, frame in channel.log)
 
 
 def _wtls_pair(suite, keys, channel: DuplexChannel
                ) -> Tuple[WTLSConnection, WTLSConnection]:
     """Build the (handset, gateway) WTLS connection pair for one shared
     key block over one bearer."""
-    handset = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, keys.client_cipher_key, keys.client_mac_key,
-            keys.client_iv),
-        decoder=WTLSRecordDecoder(
-            suite, keys.server_cipher_key, keys.server_mac_key,
-            keys.server_iv),
-        endpoint=channel.endpoint_a(), suite_name=suite.name)
-    gateway = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, keys.server_cipher_key, keys.server_mac_key,
-            keys.server_iv),
-        decoder=WTLSRecordDecoder(
-            suite, keys.client_cipher_key, keys.client_mac_key,
-            keys.client_iv),
-        endpoint=channel.endpoint_b(), suite_name=suite.name)
-    return handset, gateway
+    return (make_wtls_connection(suite, keys, True, channel.endpoint_a()),
+            make_wtls_connection(suite, keys, False, channel.endpoint_b()))
 
 
 def _fleet_connect(client: ClientConfig, server: ServerConfig,

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..hardware.battery import Battery
 from ..observability import probe
 from ..observability.attribution import EnergyReconciliation, reconcile_energy
 from ..observability.metrics import export_fleet
 from ..observability.spans import Telemetry
-from ..protocols.gateway_runtime import RuntimeStats, parse_reply
+from ..protocols.gateway_runtime import RuntimeStats
 from ..protocols.reliable import VirtualClock
+from ..protocols.wap import ORIGIN_NAME
 from .runtime import (
-    ORIGIN_NAME,
     CrashPlan,
     FleetConfig,
     FleetStats,
@@ -131,17 +131,8 @@ def run_failover(sessions: int = 24, shards: int = 4,
         stats = fleet.run()
         if finisher is not None:
             finisher()
-        counts = {"served": 0, "degraded": 0, "shed": 0}
-        shed_reasons: Dict[str, int] = {}
-        per_session: Dict[str, int] = {}
-        for session_id in session_ids:
-            replies = fleet.collect_replies(session_id)
-            per_session[session_id] = len(replies)
-            for reply in replies:
-                kind, reason = parse_reply(reply)
-                counts[kind] += 1
-                if reason is not None:
-                    shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
+        counts, shed_reasons, per_session = fleet.count_replies(
+            session_ids)
     return FailoverResult(
         fleet=fleet,
         telemetry=telemetry,

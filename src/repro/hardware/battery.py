@@ -74,6 +74,11 @@ class Battery:
         if telemetry is not None:
             telemetry.add_energy_mj(millijoules, kind="battery")
 
+    @property
+    def drained_mj(self) -> float:
+        """Energy withdrawn so far, in millijoules."""
+        return (self.capacity_j - self.remaining_j) * 1000.0
+
     def can_supply_mj(self, millijoules: float) -> bool:
         """Whether the battery can supply the requested energy."""
         return self.remaining_j >= millijoules / 1000.0

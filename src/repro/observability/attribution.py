@@ -204,7 +204,7 @@ def reconcile_energy(telemetry: Telemetry, batteries,
             continue
         if ("kind", "battery") in key:
             attributed += value
-    drained = sum((b.capacity_j - b.remaining_j) * 1000.0 for b in batteries)
+    drained = sum(b.drained_mj for b in batteries)
     tolerance = max(1e-6, rel_tolerance * max(abs(attributed), abs(drained)))
     return EnergyReconciliation(
         attributed_mj=attributed,

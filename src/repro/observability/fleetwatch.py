@@ -173,7 +173,7 @@ class FleetWatch:
     def _new_latencies(self, shard) -> List[float]:
         """Served latencies recorded since the last sample, across
         shard incarnations (restarts swap the live stats object)."""
-        ledgers = list(shard.retired_stats) + [shard.runtime.stats]
+        ledgers = shard.ledgers
         index, offset = self._latency_pos.get(shard.name, (0, 0))
         fresh: List[float] = []
         while index < len(ledgers):

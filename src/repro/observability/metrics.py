@@ -446,14 +446,13 @@ def export_battery(registry: MetricsRegistry, battery,
     labels = {"device": device}
 
     def collect():
-        drained_mj = (battery.capacity_j - battery.remaining_j) * 1000.0
         return [
             ("repro_battery_capacity_j", "battery capacity", labels,
              battery.capacity_j),
             ("repro_battery_remaining_j", "battery charge remaining", labels,
              battery.remaining_j),
             ("repro_battery_drained_mj", "energy withdrawn so far", labels,
-             drained_mj),
+             battery.drained_mj),
             ("repro_battery_fraction_remaining", "charge fraction", labels,
              battery.fraction_remaining),
         ]
@@ -557,7 +556,7 @@ def export_fleet(registry: MetricsRegistry, fleet) -> None:
                         float(journal.torn_records)))
             # Answer ledger summed across incarnations (restarts swap
             # the live stats object; the retired ones still count).
-            ledgers = list(shard.retired_stats) + [shard.runtime.stats]
+            ledgers = shard.ledgers
             for field_name, help_text in (
                     ("served", "requests served across incarnations"),
                     ("degraded", "degraded answers across incarnations"),

@@ -1,12 +1,13 @@
 """The canonical telemetry scenario: a seeded gateway chaos run.
 
 One call builds the full N-handset gateway world **with telemetry
-active from the first handshake**, drives a chaos traffic pattern
-(identical shape to :func:`repro.analysis.chaos.chaos_point`), and
-returns the finished :class:`~repro.observability.spans.Telemetry`
-alongside the usual served/degraded/shed ledger — everything
+active from the first handshake**, drives the chaos traffic pattern
+(:func:`~repro.protocols.gateway_runtime.submit_rounds`), and returns
+the finished :class:`~repro.observability.spans.Telemetry` alongside
+the usual served/degraded/shed ledger — everything
 ``python -m repro telemetry-report``, the CI smoke job, and the
-acceptance tests need.
+acceptance tests need.  :func:`repro.analysis.chaos.chaos_point` is a
+view of this run, so the two cannot drift apart.
 
 Determinism: the virtual clock is shared between the runtime and the
 telemetry context, every RNG is a seeded
@@ -18,22 +19,22 @@ byte-identical JSONL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..hardware.battery import Battery
 from ..protocols.gateway_runtime import (
     RuntimeConfig,
     RuntimeStats,
     build_gateway_runtime_world,
-    parse_reply,
+    handset_reply_counts,
+    submit_rounds,
 )
 from ..protocols.reliable import VirtualClock
+from ..protocols.wap import ORIGIN_NAME
 from . import probe
 from .attribution import EnergyReconciliation, reconcile_energy
 from .metrics import export_runtime
 from .spans import Telemetry
-
-ORIGIN = "origin.example"
 
 
 @dataclass
@@ -79,25 +80,12 @@ def run_gateway_chaos(sessions: int = 32, requests_per_session: int = 4,
             sessions=sessions, seed=seed, config=config,
             batteries=batteries, clock=clock)
         if fault_rate > 0.0:
-            runtime.set_fault_rate(ORIGIN, fault_rate, seed=seed)
+            runtime.set_fault_rate(ORIGIN_NAME, fault_rate, seed=seed)
         export_runtime(telemetry.registry, runtime)
-        session_ids = sorted(handsets)
-        for round_index in range(requests_per_session):
-            for slot, session_id in enumerate(session_ids):
-                handsets[session_id].send(
-                    f"req-{session_id}-{round_index}".encode())
-                runtime.submit(
-                    session_id, ORIGIN,
-                    arrival_offset_s=round_index * interarrival_s
-                    + slot * interarrival_s / max(1, sessions))
+        submit_rounds(runtime, handsets, requests_per_session,
+                      interarrival_s)
         stats = runtime.run()
-        replies: List[str] = []
-        for session_id in session_ids:
-            conn = handsets[session_id]
-            while conn.endpoint.pending():
-                replies.append(parse_reply(conn.receive())[0])
-    counts = {kind: replies.count(kind)
-              for kind in ("served", "degraded", "shed")}
+        counts = handset_reply_counts(handsets)
     return ChaosTelemetryResult(
         telemetry=telemetry,
         stats=stats,

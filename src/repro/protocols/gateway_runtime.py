@@ -35,7 +35,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from collections import deque
 
@@ -45,10 +54,17 @@ from ..hardware.energy import EnergyModel
 from ..observability import probe
 from .alerts import BadRecordMAC, DecodeError, ProtocolAlert, ReplayError
 from .certificates import CertificateAuthority
-from .handshake import ClientConfig, ServerConfig
+from .handshake import ClientConfig
 from .reliable import VirtualClock
 from .transport import ChannelClosed, ChannelEmpty, DuplexChannel
-from .wap import DEGRADED_PREFIX, HandlerFailure, OriginServer, WAPGateway
+from .wap import (
+    DEGRADED_PREFIX,
+    GATEWAY_NAME,
+    ORIGIN_NAME,
+    HandlerFailure,
+    WAPGateway,
+    build_gateway,
+)
 from .wtls import WTLSConnection, wtls_connect
 
 BUSY_PREFIX = b"GW-BUSY:"
@@ -83,6 +99,47 @@ def parse_reply(reply: bytes) -> Tuple[str, Optional[str]]:
     if reply.startswith(DEGRADED_PREFIX):
         return "degraded", None
     return "served", None
+
+
+def tally_replies(replies: Iterable[bytes]
+                  ) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """``(counts by kind, sheds by reason)`` over runtime replies."""
+    counts = {"served": 0, "degraded": 0, "shed": 0}
+    shed_reasons: Dict[str, int] = {}
+    for reply in replies:
+        kind, reason = parse_reply(reply)
+        counts[kind] += 1
+        if reason is not None:
+            shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
+    return counts, shed_reasons
+
+
+def submit_rounds(runtime: GatewayRuntime,
+                  handsets: Dict[str, WTLSConnection],
+                  requests_per_session: int, interarrival_s: float) -> None:
+    """The chaos traffic shape: ``requests_per_session`` rounds in which
+    every handset, in session-id order, sends one request to the origin,
+    staggered evenly across the ``interarrival_s`` round period."""
+    session_ids = sorted(handsets)
+    for round_index in range(requests_per_session):
+        for slot, session_id in enumerate(session_ids):
+            handsets[session_id].send(
+                f"req-{session_id}-{round_index}".encode())
+            runtime.submit(
+                session_id, ORIGIN_NAME,
+                arrival_offset_s=round_index * interarrival_s
+                + slot * interarrival_s / max(1, len(session_ids)))
+
+
+def handset_reply_counts(handsets: Dict[str, WTLSConnection]
+                         ) -> Dict[str, int]:
+    """Open every reply waiting at the handsets; counts by kind."""
+    replies: List[bytes] = []
+    for session_id in sorted(handsets):
+        conn = handsets[session_id]
+        while conn.endpoint.pending():
+            replies.append(conn.receive())
+    return tally_replies(replies)[0]
 
 
 @dataclass(frozen=True)
@@ -727,29 +784,13 @@ def build_gateway_runtime_world(
     """A full N-handset world: CA, origin, gateway, runtime, and
     ``sessions`` attached handsets named ``handset-00`` ....
 
-    Mirrors :func:`~repro.protocols.wap.build_wap_world` (same CA/origin
+    Shares :func:`~repro.protocols.wap.build_gateway` with
+    :func:`~repro.protocols.wap.build_wap_world` (same CA/origin
     construction) so single-session transparency can be checked against
     it; returns ``(runtime, {session_id: handset_conn}, ca)``.
     """
-    ca = CertificateAuthority(
-        "WAP-CA", DeterministicDRBG(("ca", seed).__repr__()))
-    gw_key, gw_cert = ca.issue(
-        "gateway.operator", DeterministicDRBG(("gw", seed).__repr__()))
-    origin_key, origin_cert = ca.issue(
-        "origin.example", DeterministicDRBG(("origin", seed).__repr__()))
-    handler = handler or (lambda request: b"OK:" + request)
-    origin = OriginServer(
-        name="origin.example", handler=handler,
-        config=ServerConfig(
-            rng=DeterministicDRBG(("origin-rng", seed).__repr__()),
-            certificate=origin_cert, private_key=origin_key))
-    gateway = WAPGateway(
-        ca=ca,
-        rng=DeterministicDRBG(("gw-rng", seed).__repr__()),
-        gateway_config=ServerConfig(
-            rng=DeterministicDRBG(("gw-srv-rng", seed).__repr__()),
-            certificate=gw_cert, private_key=gw_key))
-    gateway.register_origin(origin)
+    gateway = build_gateway(seed, handler)
+    ca = gateway.ca
     runtime = GatewayRuntime(gateway, config=config, clock=clock)
     handsets: Dict[str, WTLSConnection] = {}
     batteries = batteries or {}
@@ -757,7 +798,7 @@ def build_gateway_runtime_world(
         session_id = f"handset-{index:02d}"
         client = ClientConfig(
             rng=DeterministicDRBG((session_id, seed).__repr__()),
-            ca=ca, expected_server="gateway.operator")
+            ca=ca, expected_server=GATEWAY_NAME)
         handsets[session_id] = runtime.attach_session(
             session_id, client, battery=batteries.get(session_id),
             channel=(channel_factory(session_id)

@@ -238,8 +238,7 @@ def _run_handshake(client: ClientConfig, server: ServerConfig,
                     f"premaster decryption failed: {exc}") from exc
             if len(server_premaster) != PREMASTER_BYTES:
                 raise HandshakeFailure("premaster has wrong length")
-        elif suite.key_exchange == "KEA":
-            assert kea_server is not None
+        elif suite.key_exchange == "KEA" and kea_server is not None:
             width = (kea_server.group.p.bit_length() + 7) // 8
             client_static = int.from_bytes(
                 ckx_seen.key_exchange[:width], "big")
@@ -247,11 +246,13 @@ def _run_handshake(client: ClientConfig, server: ServerConfig,
                 ckx_seen.key_exchange[width:], "big")
             server_premaster = kea_server.shared_key(
                 client_static, client_ephemeral, PREMASTER_BYTES)
-        else:
-            assert dh_server is not None
+        elif suite.key_exchange == "DH" and dh_server is not None:
             client_public = int.from_bytes(ckx_seen.key_exchange, "big")
             server_premaster = dh_server.shared_key(
                 client_public, PREMASTER_BYTES)
+        else:
+            raise HandshakeFailure(
+                f"unsupported key exchange {suite.key_exchange!r}")
     if server.require_client_auth:
         if server.ca is None:
             raise HandshakeFailure("server requires client auth but has no CA")

@@ -146,7 +146,11 @@ class ResilientSession:
         """The live ``(client, server)`` connections (establishing first)."""
         if self._client_conn is None or self._server_conn is None:
             self.establish()
-        assert self._client_conn is not None and self._server_conn is not None
+        return self._live_pair()
+
+    def _live_pair(self) -> Tuple[SecureConnection, SecureConnection]:
+        if self._client_conn is None or self._server_conn is None:
+            raise RuntimeError("no established session")
         return self._client_conn, self._server_conn
 
     def establish(self) -> None:
@@ -163,10 +167,10 @@ class ResilientSession:
         self._cache_current()
 
     def _cache_current(self) -> None:
-        assert self._client_conn is not None and self._server_conn is not None
+        client_conn, server_conn = self._live_pair()
         session_id = self._session_rng.random_bytes(16)
-        client_session = self._client_conn.session
-        server_session = self._server_conn.session
+        client_session = client_conn.session
+        server_session = server_conn.session
         self.client_cache.store(CachedSession(
             session_id=session_id, suite_name=client_session.suite.name,
             master=client_session.master))
@@ -263,12 +267,11 @@ class ResilientSession:
         if self._client_conn is None:
             self.establish()
         for _ in range(max_recoveries + 1):
-            assert self._client_conn is not None \
-                and self._server_conn is not None
+            client_conn, server_conn = self._live_pair()
             if to_server:
-                sender, receiver = self._client_conn, self._server_conn
+                sender, receiver = client_conn, server_conn
             else:
-                sender, receiver = self._server_conn, self._client_conn
+                sender, receiver = server_conn, client_conn
             try:
                 sender.send(data)
                 return receiver.receive()

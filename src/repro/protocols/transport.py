@@ -84,6 +84,11 @@ class DuplexChannel:
         self.close()
         self.resets += 1
 
+    @property
+    def wire_bytes(self) -> int:
+        """Bytes of every frame sent so far, both directions (the log)."""
+        return sum(len(frame) for _, frame in self.log)
+
     def direction_closed(self, direction: str) -> bool:
         """Whether the writer of ``direction`` has closed it."""
         return self._closed[direction]

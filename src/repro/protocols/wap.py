@@ -32,6 +32,10 @@ RequestHandler = Callable[[bytes], bytes]
 
 DEGRADED_PREFIX = b"GW-DEGRADED:"
 
+#: Certificate subjects of the gateway and of the origin it fronts.
+GATEWAY_NAME = "gateway.operator"
+ORIGIN_NAME = "origin.example"
+
 
 class HandlerFailure(Exception):
     """The origin's application handler raised mid-proxy.
@@ -141,6 +145,8 @@ class WAPGateway:
         """
         if self.handset_side is None:
             raise RuntimeError("gateway has no handset WTLS session")
+        if wired_retries < 0:
+            raise ValueError("wired_retries must be non-negative")
         telemetry = probe.active
         if telemetry is None:
             return self._forward_inner(destination, wired_retries)
@@ -172,7 +178,8 @@ class WAPGateway:
                     last_error = exc
                     self._drop_wired_leg(destination)
         if reply is None:
-            assert last_error is not None
+            # forward() rejects wired_retries < 0, so the loop ran and
+            # every reply-less exit recorded last_error.
             kind = (b" origin handler error ("
                     if isinstance(last_error, HandlerFailure)
                     else b" origin unavailable (")
@@ -184,23 +191,22 @@ class WAPGateway:
         return reply
 
 
-def build_wap_world(seed: int = 0,
-                    handler: Optional[RequestHandler] = None):
-    """Convenience constructor for a full handset-gateway-origin setup.
+def build_gateway(seed: int = 0,
+                  handler: Optional[RequestHandler] = None) -> WAPGateway:
+    """The seeded CA, gateway and origin, with the origin registered.
 
-    Returns ``(handset_wtls_connection, gateway, ca)`` ready for
-    ``gateway.forward(handset_conn, "origin.example")`` round-trips.
+    Every single-box world (:func:`build_wap_world`,
+    :func:`~repro.protocols.gateway_runtime.build_gateway_runtime_world`)
+    starts here; ``gateway.ca`` is the CA that issued both certificates.
     """
     ca = CertificateAuthority("WAP-CA", DeterministicDRBG(("ca", seed).__repr__()))
     gw_key, gw_cert = ca.issue(
-        "gateway.operator", DeterministicDRBG(("gw", seed).__repr__()))
+        GATEWAY_NAME, DeterministicDRBG(("gw", seed).__repr__()))
     origin_key, origin_cert = ca.issue(
-        "origin.example", DeterministicDRBG(("origin", seed).__repr__()))
-
-    handler = handler or (lambda request: b"OK:" + request)
+        ORIGIN_NAME, DeterministicDRBG(("origin", seed).__repr__()))
     origin = OriginServer(
-        name="origin.example",
-        handler=handler,
+        name=ORIGIN_NAME,
+        handler=handler or (lambda request: b"OK:" + request),
         config=ServerConfig(
             rng=DeterministicDRBG(("origin-rng", seed).__repr__()),
             certificate=origin_cert, private_key=origin_key,
@@ -215,12 +221,22 @@ def build_wap_world(seed: int = 0,
         ),
     )
     gateway.register_origin(origin)
+    return gateway
 
+
+def build_wap_world(seed: int = 0,
+                    handler: Optional[RequestHandler] = None):
+    """Convenience constructor for a full handset-gateway-origin setup.
+
+    Returns ``(handset_wtls_connection, gateway, ca)`` ready for
+    ``gateway.forward(handset_conn, "origin.example")`` round-trips.
+    """
+    gateway = build_gateway(seed, handler)
     handset_cfg = ClientConfig(
         rng=DeterministicDRBG(("handset", seed).__repr__()),
-        ca=ca, expected_server="gateway.operator",
+        ca=gateway.ca, expected_server=GATEWAY_NAME,
     )
     handset_conn, gateway_side = wtls_connect(handset_cfg, gateway.gateway_config)
     # The gateway holds its side of the WTLS session:
     gateway.handset_side = gateway_side
-    return handset_conn, gateway, ca
+    return handset_conn, gateway, gateway.ca

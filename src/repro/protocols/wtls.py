@@ -200,6 +200,8 @@ class WTLSConnection:
         :class:`~repro.protocols.transport.ChannelEmpty` when the link
         runs dry first.
         """
+        if max_skip < 0:
+            raise ValueError("max_skip must be non-negative")
         last_error: Optional[Exception] = None
         for _ in range(max_skip + 1):
             raw = self.endpoint.receive()
@@ -210,8 +212,7 @@ class WTLSConnection:
                 last_error = exc
                 continue
             return payload
-        assert last_error is not None
-        raise last_error
+        raise last_error  # the loop ran: max_skip >= 0
 
     @property
     def records_lost(self) -> int:
@@ -244,25 +245,22 @@ def wtls_connect(client: ClientConfig, server: ServerConfig,
     suite = client_session.suite
     client_keys = _rederive(client_session.master, client, server, suite)
     server_keys = _rederive(server_session.master, client, server, suite)
-    client_conn = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, client_keys.client_cipher_key,
-            client_keys.client_mac_key, client_keys.client_iv),
-        decoder=WTLSRecordDecoder(
-            suite, client_keys.server_cipher_key,
-            client_keys.server_mac_key, client_keys.server_iv),
-        endpoint=client_ep, suite_name=suite.name,
-    )
-    server_conn = WTLSConnection(
-        encoder=WTLSRecordEncoder(
-            suite, server_keys.server_cipher_key,
-            server_keys.server_mac_key, server_keys.server_iv),
-        decoder=WTLSRecordDecoder(
-            suite, server_keys.client_cipher_key,
-            server_keys.client_mac_key, server_keys.client_iv),
-        endpoint=server_ep, suite_name=suite.name,
-    )
-    return client_conn, server_conn
+    return (make_wtls_connection(suite, client_keys, True, client_ep),
+            make_wtls_connection(suite, server_keys, False, server_ep))
+
+
+def make_wtls_connection(suite: CipherSuite, keys: KeyBlock,
+                         is_client: bool,
+                         endpoint: Endpoint) -> WTLSConnection:
+    """Build this side's connection from the key block: it seals with
+    its own direction's keys and opens with the peer's."""
+    client = (keys.client_cipher_key, keys.client_mac_key, keys.client_iv)
+    server = (keys.server_cipher_key, keys.server_mac_key, keys.server_iv)
+    own, peer = (client, server) if is_client else (server, client)
+    return WTLSConnection(
+        encoder=WTLSRecordEncoder(suite, *own),
+        decoder=WTLSRecordDecoder(suite, *peer),
+        endpoint=endpoint, suite_name=suite.name)
 
 
 def _rederive(master: bytes, client: ClientConfig, server: ServerConfig,

@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.rng import DeterministicDRBG
-from ..fleet.runtime import (
-    ORIGIN_NAME,
-    FleetConfig,
-    FleetStats,
-    ShardedFleet,
-)
+from ..fleet.runtime import FleetConfig, FleetStats, ShardedFleet
 from ..hardware.battery import Battery, BatteryEmpty
 from ..hardware.energy import EnergyModel
 from ..observability import probe
@@ -60,7 +55,6 @@ from ..protocols.ciphersuites import (
     RSA_WITH_TRIVIUM_SHA,
     CipherSuite,
 )
-from ..protocols.gateway_runtime import parse_reply
 from ..protocols.payment import (
     Merchant,
     OrderInfo,
@@ -70,6 +64,7 @@ from ..protocols.payment import (
     non_repudiation_evidence,
 )
 from ..protocols.reliable import VirtualClock
+from ..protocols.wap import ORIGIN_NAME
 
 MERCHANT_NAME = "shop.example"
 
@@ -352,13 +347,8 @@ def run_mcommerce(sessions: int = 18, shards: int = 3, seed: int = 2003,
                         brownouts[plan.battery_class] = (
                             brownouts.get(plan.battery_class, 0) + 1)
         stats = fleet.run()
-        counts = {"served": 0, "degraded": 0, "shed": 0}
-        per_session: Dict[str, int] = {}
-        for plan in plans:
-            replies = fleet.collect_replies(plan.session_id)
-            per_session[plan.session_id] = len(replies)
-            for reply in replies:
-                counts[parse_reply(reply)[0]] += 1
+        counts, _, per_session = fleet.count_replies(
+            plan.session_id for plan in plans)
     return MCommerceResult(
         fleet=fleet,
         telemetry=telemetry,

@@ -194,6 +194,14 @@ class TestWAPGateway:
         assert gateway.degraded_responses == 1
         assert handset.receive() == reply
 
+    def test_negative_wired_retries_rejected(self):
+        handset, gateway, _ = build_wap_world(seed=8)
+        handset.send(b"still queued")
+        with pytest.raises(ValueError):
+            gateway.forward("origin.example", wired_retries=-1)
+        gateway.forward("origin.example")
+        assert handset.receive() == b"OK:still queued"
+
 
 class TestCertificates:
     def test_issue_and_validate(self, ca):

@@ -78,6 +78,13 @@ class TestWTLS:
             gateway.receive_next(max_skip=2)
         assert gateway.discarded == 3
 
+    def test_receive_next_rejects_negative_budget(self, wtls_pair):
+        handset, gateway = wtls_pair
+        handset.send(b"kept")
+        with pytest.raises(ValueError):
+            gateway.receive_next(max_skip=-1)
+        assert gateway.receive_next() == b"kept"
+
     def test_records_lost_counts_sequence_gaps(self, wtls_pair):
         handset, gateway = wtls_pair
         handset.send(b"first")       # seq 0, lost below
