@@ -20,13 +20,16 @@ import time
 from typing import Callable, List, Tuple
 
 from repro.crypto import fastpath
+from repro.crypto.a51 import A51
 from repro.crypto.aes import AES
 from repro.crypto.des import DES
+from repro.crypto.grain import Grain
 from repro.crypto.hmac import hmac
 from repro.crypto.md5 import md5
 from repro.crypto.modes import CBC, ECB
 from repro.crypto.sha1 import sha1
 from repro.crypto.tdes import TripleDES
+from repro.crypto.trivium import Trivium
 
 KEY16 = bytes(range(16))
 KEY8 = bytes(range(8))
@@ -50,6 +53,18 @@ def _hmac_sha1(payload: bytes) -> bytes:
     return hmac(b"bench mac key", payload)
 
 
+def _a51(payload: bytes) -> bytes:
+    return A51(bytes(range(11))).process(payload)
+
+
+def _grain(payload: bytes) -> bytes:
+    return Grain(bytes(range(18))).process(payload)
+
+
+def _trivium(payload: bytes) -> bytes:
+    return Trivium(bytes(range(20))).process(payload)
+
+
 # name, workload, payload bytes on the *reference* side, required speedup.
 # Reference payloads are kept small (the whole point is that the
 # reference loops are slow); throughput normalises them out.
@@ -60,6 +75,9 @@ WORKLOADS: List[Tuple[str, Callable[[bytes], bytes], int, float]] = [
     ("SHA-1", sha1, 64 * 1024, 5.0),
     ("MD5", md5, 64 * 1024, 5.0),
     ("HMAC-SHA1", _hmac_sha1, 64 * 1024, 5.0),
+    ("A5/1", _a51, 2 * 1024, 3.0),
+    ("Grain v1", _grain, 1024, 10.0),
+    ("Trivium", _trivium, 1024, 20.0),
 ]
 
 FAST_SCALE = 16  # fast side gets a proportionally larger payload
@@ -119,6 +137,18 @@ def test_md5_speedup():
 
 def test_hmac_sha1_speedup():
     assert measure("HMAC-SHA1")[2] >= _required_speedup("HMAC-SHA1")
+
+
+def test_a51_speedup():
+    assert measure("A5/1")[2] >= _required_speedup("A5/1")
+
+
+def test_grain_speedup():
+    assert measure("Grain v1")[2] >= _required_speedup("Grain v1")
+
+
+def test_trivium_speedup():
+    assert measure("Trivium")[2] >= _required_speedup("Trivium")
 
 
 def main() -> None:

@@ -7,7 +7,8 @@ registry therefore treats AES as the "newly standardised" algorithm a
 deployed handset must be able to adopt after the fact.
 
 The S-box is derived programmatically (multiplicative inverse in
-GF(2^8) followed by the FIPS 197 affine map) rather than transcribed,
+GF(2^8), read off log/antilog tables over the generator 0x03, followed
+by the FIPS 197 affine map) rather than transcribed,
 eliminating table-entry typos; the implementation is validated against
 the FIPS 197 Appendix C known-answer vectors for all three key sizes.
 
@@ -41,14 +42,18 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> List[int]:
-    # Multiplicative inverses via exponentiation: a^254 = a^-1 in GF(2^8).
+    # Multiplicative inverses from log/antilog tables over the generator
+    # 0x03: exp[i] = 3^i, log[3^i] = i, and a^-1 = 3^(255 - log a).
+    exp = [0] * 255
+    log = [0] * 256
+    value = 1
+    for power in range(255):
+        exp[power] = value
+        log[value] = power
+        value ^= ((value << 1) ^ (0x1B if value & 0x80 else 0)) & 0xFF
     sbox = [0] * 256
     for value in range(256):
-        inv = 0
-        if value:
-            inv = value
-            for _ in range(253):  # inv = value^254
-                inv = _gf_mul(inv, value)
+        inv = exp[(255 - log[value]) % 255] if value else 0
         transformed = 0
         for bit in range(8):
             t = (

@@ -4,8 +4,10 @@ A deliberately generous budget: the workload below completes in well
 under a second on the fast paths but takes tens of seconds if the
 precomputed-table kernels silently regress to the reference loops
 (e.g. a gating bug re-routing everything through the per-bit
-``permute_bits`` path).  This is a tripwire, not a benchmark —
-``benchmarks/bench_fastpath.py`` measures the actual speedups.
+``permute_bits`` path, or the A5/1, Grain v1 and Trivium window
+kernels falling back to their bit-serial reference loops).  This is a
+tripwire, not a benchmark — ``benchmarks/bench_fastpath.py`` measures
+the actual speedups.
 """
 
 import time
@@ -13,12 +15,15 @@ import time
 import pytest
 
 from repro.crypto import fastpath
+from repro.crypto.a51 import A51
 from repro.crypto.aes import AES
 from repro.crypto.des import DES
+from repro.crypto.grain import Grain
 from repro.crypto.md5 import md5
 from repro.crypto.modes import CBC, ECB
 from repro.crypto.sha1 import sha1
 from repro.crypto.tdes import TripleDES
+from repro.crypto.trivium import Trivium
 
 BUDGET_SECONDS = 8.0
 
@@ -33,6 +38,8 @@ def test_representative_crypto_workload_within_budget():
     ECB(TripleDES(bytes(range(24)))).encrypt(b"\x96" * (8 * 1024))
     sha1(b"\x5A" * (512 * 1024))
     md5(b"\xC3" * (512 * 1024))
+    for cipher, key_size in ((A51, 11), (Grain, 18), (Trivium, 20)):
+        cipher(bytes(range(key_size))).process(b"\x69" * (16 * 1024))
 
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_SECONDS, (
